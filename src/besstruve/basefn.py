@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .evaluation import ConvergenceError, DomainError
+from .evaluation import MAX_ABS_Z, ConvergenceError, DomainError
 from .exact import gamma_half_rational
 
-MAX_ABS_Z = 50.0
 MAX_ORDER = 64
 
 _EPS = sys.float_info.epsilon

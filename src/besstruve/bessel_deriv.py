@@ -10,41 +10,29 @@ reduction polynomials:
     p{1,0}(k, z) = 2 k! sum_{i=0}^{floor(k/2)} (-1)^i / (i! (k-2i)!)
                    * r{1,0}(k+1-i, z) / (2z)^(i+1)
 
-Evaluation is stability guarded: a term-wise Taylor branch below
-``small_z_threshold`` (the 1/z polynomials are singular at the origin), the
-closed form in exact rational arithmetic elsewhere, and an adaptive
-quadrature fallback when the closed form's cancellation ratio trips the
-configured guard or its error estimate misses the tolerance.
+Evaluation takes a term-wise Taylor branch below |z| = 0.5 (the 1/z
+polynomials are singular at the origin) and the closed form in exact
+rational arithmetic elsewhere, rounded once.  Exact arithmetic loses
+nothing to the cancellation between the two products, so the only error is
+the base series truncation; when its rigorous bound misses the tolerance,
+ConvergenceError is raised.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import oracle
-from .basefn import MAX_ABS_Z, _j_sum_exact
-from .evaluation import (
-    DEFAULT_CONFIG,
-    ConvergenceError,
-    DomainError,
-    EvalConfig,
-    EvalResult,
-    PATH_CLOSED_FORM,
-    PATH_QUADRATURE,
-    PATH_TAYLOR,
-)
+from .basefn import _j_sum_exact
+from .evaluation import DEFAULT_CONFIG, DomainError, EvalConfig, EvalResult, eval_derivative
 from .exact import gamma_half_rational, j1z_series_coeff, recip_factorial
 from .laurent import LaurentPoly
 from .lommel import _r0_or_zero, c_poly, r1_poly
 
 MAX_DERIV_ORDER = 60
 MAX_AT_ZERO_ORDER = 200
-
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -104,78 +92,16 @@ def deriv_j1z_at_zero(k: int) -> float:
     return float(-v if m % 2 else v)
 
 
-def _taylor_eval(k: int, z: float, cfg: EvalConfig) -> tuple[float, float, int]:
-    """Term-wise differentiated Taylor series of J1(z)/z near the origin."""
-    n0 = (k + 1) // 2
-    total = 0.0
-    abs_total = 0.0
-    terms = 0
-    tail = math.inf
-    for n in range(n0, n0 + cfg.max_terms):
-        coeff = j1z_series_coeff(n) * Fraction(math.factorial(2 * n), math.factorial(2 * n - k))
-        t = float(coeff) * z ** (2 * n - k)
-        if terms >= 2 and abs(t) < 1e-17 * max(1.0, abs_total):
-            tail = abs(t)
-            break
-        total += t
-        abs_total += abs(t)
-        terms += 1
-    else:
-        raise ConvergenceError(f"Taylor branch needs more than {cfg.max_terms} terms")
-    err = tail + 4 * _EPS * max(abs_total, abs(total))
-    return total, err, terms
-
-
-def _closed_eval(k: int, z: float) -> tuple[float, float, float, int]:
-    """Closed-form evaluation in exact arithmetic.
-
-    Returns (value, abs_err_estimate, cancellation_ratio, terms).  The
-    cancellation ratio compares the term-magnitude sum against the result,
-    which is what the guard in the dispatcher inspects; the error estimate
-    itself only carries the adaptive series truncation and final rounding.
-    """
+@lru_cache(maxsize=None)
+def _closed_form_terms(k: int) -> tuple[tuple, LaurentPoly]:
+    """(poly, base order) pairs and free polynomial of the closed form."""
     form = p_polys(k)
-    sign = -1 if k % 2 else 1
-    zf = Fraction(z)
-    p1_abs = form.p1.eval_abs_float(z)
-    p0_abs = form.p0.eval_abs_float(z)
-    bound = max(1.0, p1_abs + p0_abs)
-    tiny_exp = -70 - max(0, math.ceil(math.log2(bound)))
-    j1v, j1tail = _j_sum_exact(1, zf, tiny_exp)
-    j0v, j0tail = _j_sum_exact(0, zf, tiny_exp)
-    exact = form.p1.eval_rational(zf) * j1v - form.p0.eval_rational(zf) * j0v
-    value = float(exact) if sign > 0 else -float(exact)
-    trunc = (p1_abs + p0_abs) * float(max(j1tail, j0tail))
-    err = trunc + 2 * _EPS * max(1e-300, abs(value))
-    magnitude_sum = p1_abs * abs(float(j1v)) + p0_abs * abs(float(j0v))
-    ratio = magnitude_sum / max(abs(value), 1e-300)
-    terms = len(form.p1.terms) + len(form.p0.terms)
-    return value, err, ratio, terms
-
-
-def _quadrature_eval(kind: str, k: int, z: float, cfg: EvalConfig) -> EvalResult:
-    # target clamped to what double-precision panel sums can resolve; the
-    # tolerance check below rejects the result honestly if that is not enough
-    tol = min(1e-13, max(cfg.abs_tol, 1e-14))
-    value, delta, evals = oracle._kernel_full(kind, k, z, tol=tol)
-    err = delta + 4 * _EPS * max(1.0, abs(value))
-    if err > cfg.abs_tol:
-        raise ConvergenceError(
-            f"quadrature fallback reached {err:.3e}, above abs_tol {cfg.abs_tol:.3e}"
-        )
-    return EvalResult(value, err, evals, PATH_QUADRATURE)
+    return ((form.p1, 1), (-form.p0, 0)), LaurentPoly.zero()
 
 
 def deriv_j1z(k: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """d^k/dz^k of J1(z)/z with stability-guarded path selection."""
-    if not 0 <= k <= MAX_DERIV_ORDER:
-        raise DomainError(f"0 <= k <= {MAX_DERIV_ORDER} required, got {k}")
-    if not math.isfinite(z) or abs(z) > MAX_ABS_Z:
-        raise DomainError(f"|z| <= {MAX_ABS_Z} required, got {z}")
-    if abs(z) < cfg.small_z_threshold:
-        value, err, terms = _taylor_eval(k, z, cfg)
-        return EvalResult(value, err, terms, PATH_TAYLOR)
-    value, err, ratio, terms = _closed_eval(k, z)
-    if ratio > cfg.cancellation_guard or err > cfg.abs_tol:
-        return _quadrature_eval(oracle.KIND_BESSEL, k, z, cfg)
-    return EvalResult(value, err, terms, PATH_CLOSED_FORM)
+    """d^k/dz^k of J1(z)/z: Taylor branch near the origin, exact closed form
+    elsewhere (see :mod:`besstruve.evaluation`)."""
+    return eval_derivative(
+        k, z, cfg, MAX_DERIV_ORDER, j1z_series_coeff, 0, _closed_form_terms, _j_sum_exact, 1.0
+    )

@@ -19,18 +19,11 @@ bounded in magnitude by the derivative-free moment
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bessel_deriv import MAX_DERIV_ORDER, deriv_j1z
-from .evaluation import (
-    ConvergenceError,
-    DomainError,
-    EvalConfig,
-    EvalResult,
-    PATH_CLOSED_FORM,
-    worst_path,
-)
+from .evaluation import ConvergenceError, DomainError, EvalConfig, EvalResult, PATH_CLOSED_FORM
 from .exact import SQRT_PI, gamma_exact
 from .struve_deriv import MAX_SIGMA_ORDER, deriv_h1z
 
@@ -123,17 +116,11 @@ def _series_eval(z: float, zeta: float, cfg: EvalConfig, kind: str) -> EvalResul
     for kap in range(kap_max + 1):
         w = weights[kap]
         if w != 0.0:
-            inner_tol = min(cfg.abs_tol, 1e-11) / max(1.0, abs(w))
-            inner_cfg = EvalConfig(
-                abs_tol=inner_tol,
-                small_z_threshold=cfg.small_z_threshold,
-                cancellation_guard=cfg.cancellation_guard,
-                max_terms=cfg.max_terms,
-            )
+            inner_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, 1e-11) / max(1.0, abs(w)))
             r = deriv(order_of(kap), z, inner_cfg)
             total += w * r.value
             err += abs(w) * r.abs_err_estimate
-            path = worst_path(path, r.path)
+            path = r.path  # z is fixed, so every term takes the same path
         tail = _tail_bound(kap + 1, zeta, weights, order_of)
         if tail < cfg.abs_tol:
             return EvalResult(total, err + tail, kap + 1, path)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .evaluation import ConvergenceError, DomainError
 from .exact import h1z_series_coeff, j1z_series_coeff
 
@@ -54,6 +52,9 @@ DEFAULT_RULE = QuadratureRule()
 
 @lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # numpy is needed only for the nodes, so it is imported on first use
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(n)
     return tuple(float(v) for v in x), tuple(float(v) for v in w)
 

@@ -23,24 +23,12 @@ as a cross-check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import oracle
 from .basefn import MAX_ABS_Z, _h_pi_sum_exact
-from .evaluation import (
-    DEFAULT_CONFIG,
-    ConvergenceError,
-    DomainError,
-    EvalConfig,
-    EvalResult,
-    PATH_CLOSED_FORM,
-    PATH_QUADRATURE,
-    PATH_TAYLOR,
-)
-from .bessel_deriv import _quadrature_eval
+from .evaluation import DEFAULT_CONFIG, DomainError, EvalConfig, EvalResult, eval_derivative
 from .exact import (
     SQRT_PI,
     SqrtPiRational,
@@ -53,13 +41,11 @@ from .exact import (
     recip_gamma_int,
 )
 from .laurent import LaurentPoly
-from .lommel import MIN_ABS_Z_REDUCE, r0_poly, r1_poly
+from .lommel import MIN_ABS_Z_REDUCE, _ceil_div, r0_poly, r1_poly
 
 MAX_SIGMA_ORDER = 41
 MAX_AT_ZERO_ORDER = 200
 MAX_NEG_ORDER = 40
-
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -70,10 +56,6 @@ class StruveDerivForm:
     sigma0: LaurentPoly
     sigma1: LaurentPoly
     sigma2: LaurentPoly
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 # -- the polynomial correction s(nu, z) --------------------------------------
@@ -440,12 +422,14 @@ def sigma_polys_composed(k: int) -> StruveDerivForm:
 
 
 @lru_cache(maxsize=None)
-def _shifted_sigma(k: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+def _closed_form_terms(k: int) -> tuple[tuple, LaurentPoly]:
+    """(poly, base order) pairs and free polynomial of the closed form,
+    with the (2/z) powers multiplied in."""
     form = sigma_polys_composed(k)
     s0 = form.sigma0.scale(Fraction(2) ** k).shift(-k)
     s1 = form.sigma1.scale(Fraction(2) ** (k + 1)).shift(-(k + 1))
     s2 = form.sigma2.scale(Fraction(2) ** (k - 1)).shift(-(k - 1))
-    return s0, s1, s2
+    return ((s0, 0), (s1, 1)), s2
 
 
 def deriv_h1z_at_zero(k: int) -> float:
@@ -463,69 +447,9 @@ def deriv_h1z_at_zero(k: int) -> float:
     return float(-v if m % 2 else v) / math.pi
 
 
-def _taylor_eval_h(k: int, z: float, cfg: EvalConfig) -> tuple[float, float, int]:
-    n0 = max(0, (k - 1) // 2)
-    total = 0.0
-    abs_total = 0.0
-    terms = 0
-    tail = math.inf
-    for n in range(n0, n0 + cfg.max_terms):
-        if 2 * n + 1 < k:
-            continue
-        coeff = h1z_series_coeff(n) * Fraction(
-            math.factorial(2 * n + 1), math.factorial(2 * n + 1 - k)
-        )
-        t = float(coeff) * z ** (2 * n + 1 - k)
-        if terms >= 2 and abs(t) < 1e-17 * max(1.0, abs_total):
-            tail = abs(t)
-            break
-        total += t
-        abs_total += abs(t)
-        terms += 1
-    else:
-        raise ConvergenceError(f"Taylor branch needs more than {cfg.max_terms} terms")
-    value = total / math.pi
-    err = (tail + 4 * _EPS * max(abs_total, abs(total))) / math.pi
-    return value, err, terms
-
-
-def _closed_eval_h(k: int, z: float) -> tuple[float, float, float, int]:
-    s0, s1, s2 = _shifted_sigma(k)
-    zf = Fraction(z)
-    s0_abs = s0.eval_abs_float(z)
-    s1_abs = s1.eval_abs_float(z)
-    s2_abs = s2.eval_abs_float(z)  # includes its 1/pi factor
-    bound = max(1.0, s0_abs + s1_abs + s2_abs)
-    tiny_exp = -70 - max(0, math.ceil(math.log2(bound)))
-    h0_pi, h0tail = _h_pi_sum_exact(0, zf, tiny_exp)
-    h1_pi, h1tail = _h_pi_sum_exact(1, zf, tiny_exp)
-    total = (
-        h0_pi * s0.eval_rational(zf)
-        + h1_pi * s1.eval_rational(zf)
-        + s2.eval_rational(zf)
-    )
-    sign = -1 if k % 2 else 1
-    value = sign * float(total) / math.pi
-    trunc = (s0_abs + s1_abs) * float(max(h0tail, h1tail)) / math.pi
-    err = trunc + 2 * _EPS * max(1e-300, abs(value))
-    h0f = abs(float(h0_pi)) / math.pi
-    h1f = abs(float(h1_pi)) / math.pi
-    magnitude_sum = s0_abs * h0f + s1_abs * h1f + s2_abs
-    ratio = magnitude_sum / max(abs(value), 1e-300)
-    terms = len(s0.terms) + len(s1.terms) + len(s2.terms)
-    return value, err, ratio, terms
-
-
 def deriv_h1z(k: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """d^k/dz^k of H1(z)/z with stability-guarded path selection."""
-    if not 0 <= k <= MAX_SIGMA_ORDER:
-        raise DomainError(f"0 <= k <= {MAX_SIGMA_ORDER} required, got {k}")
-    if not math.isfinite(z) or abs(z) > MAX_ABS_Z:
-        raise DomainError(f"|z| <= {MAX_ABS_Z} required, got {z}")
-    if abs(z) < cfg.small_z_threshold:
-        value, err, terms = _taylor_eval_h(k, z, cfg)
-        return EvalResult(value, err, terms, PATH_TAYLOR)
-    value, err, ratio, terms = _closed_eval_h(k, z)
-    if ratio > cfg.cancellation_guard or err > cfg.abs_tol:
-        return _quadrature_eval(oracle.KIND_STRUVE, k, z, cfg)
-    return EvalResult(value, err, terms, PATH_CLOSED_FORM)
+    """d^k/dz^k of H1(z)/z: Taylor branch near the origin, exact closed form
+    elsewhere (see :mod:`besstruve.evaluation`)."""
+    return eval_derivative(
+        k, z, cfg, MAX_SIGMA_ORDER, h1z_series_coeff, 1, _closed_form_terms, _h_pi_sum_exact, math.pi
+    )

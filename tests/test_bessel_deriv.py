@@ -1,19 +1,28 @@
 """Higher derivatives of J1(z)/z: prefactors, evaluation paths, amplitudes."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import besstruve as bt
 from besstruve import oracle
 from besstruve.bessel_deriv import (
-    _closed_eval,
-    _taylor_eval,
+    _closed_form_terms,
+    _j_sum_exact,
     p_polys,
     p_polys_closed_form,
 )
-from besstruve.evaluation import DomainError, EvalConfig
+from besstruve.evaluation import (
+    SMALL_Z_THRESHOLD,
+    DomainError,
+    EvalConfig,
+    closed_form,
+    taylor_branch,
+)
+from besstruve.exact import j1z_series_coeff
 from besstruve.laurent import LaurentPoly
 
 CFG = EvalConfig()
@@ -75,18 +84,31 @@ def test_deriv_vs_quadrature_grid():
             assert abs(r.value - o) <= 1e-8 * max(1e-12, abs(o)), (k, z, r.path)
 
 
+def mp_deriv_j1z(k, z):
+    """30-digit d^k/dz^k [J1(z)/z] from the phase-shifted kernel integral
+    (2/pi) int_0^{pi/2} cos^k(t) sin^2(t) cos(z cos t + k pi/2) dt."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(z)
+        f = lambda t: mpmath.cos(t) ** k * mpmath.sin(t) ** 2 * mpmath.cos(
+            z * mpmath.cos(t) + k * mpmath.pi / 2
+        )
+        return 2 / mpmath.pi * mpmath.quad(f, [0, mpmath.pi / 2])
+
+
 def test_path_selection():
     assert bt.deriv_j1z(3, 0.1, CFG).path == "taylor"
     assert bt.deriv_j1z(3, 2.0, CFG).path == "closed_form"
-    # heavy cancellation: the guard must push this one to quadrature
-    tight = EvalConfig(cancellation_guard=10.0)
-    assert bt.deriv_j1z(8, 2.0, tight).path == "quadrature"
+    # the two products cancel heavily here, which costs exact arithmetic nothing
+    r = bt.deriv_j1z(8, 2.0, EvalConfig(abs_tol=1e-8))
+    assert r.path == "closed_form"
+    assert abs(r.value - mp_deriv_j1z(8, 2.0)) <= r.abs_err_estimate <= 1e-8
 
 
 def test_path_boundary_consistency():
+    z = SMALL_Z_THRESHOLD
     for k in range(0, 11):
-        tv, _, _ = _taylor_eval(k, CFG.small_z_threshold, CFG)
-        cv, _, _, _ = _closed_eval(k, CFG.small_z_threshold)
+        tv = taylor_branch(k, z, j1z_series_coeff, 0, 1.0).value
+        cv = closed_form(k, z, CFG, *_closed_form_terms(k), _j_sum_exact, 1.0).value
         assert abs(tv - cv) <= 1e-9, k
 
 
@@ -108,9 +130,11 @@ def test_domain_errors():
 
 
 def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        EvalConfig(cancellation_guard=0.5)
-    with pytest.raises(ValueError):
-        EvalConfig(max_terms=0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            EvalConfig(abs_tol=bad)
+    # the tolerance is the only setting; the branch threshold and term cap are constants
+    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["abs_tol"]
+    for name in ("small_z_threshold", "cancellation_guard", "max_terms"):
+        with pytest.raises(TypeError):
+            EvalConfig(**{name: 1.0})

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 import besstruve as bt
@@ -116,7 +117,21 @@ def test_domain_validation():
         IntegralRequest(0.0, math.nan, CFG)
 
 
-def test_quadrature_path_propagates():
-    # large k terms trip the cancellation guard, so the tag must be quadrature
+def mp_s_integral(z, zeta):
+    """30-digit S(z, zeta) from its defining integral."""
+    with mpmath.workdps(30):
+        z, zeta = mpmath.mpf(z), mpmath.mpf(zeta)
+
+        def f(t):
+            c, s = mpmath.cos(t), mpmath.sin(t)
+            return c * s * s * mpmath.sin(z * c) * mpmath.sin(zeta * c * c)
+
+        return mpmath.quad(f, [0, mpmath.pi / 2])
+
+
+def test_closed_form_path_propagates():
+    # the high-order terms cancel heavily at z = 1; the exact closed form
+    # still carries every one of them, and the tag says so
     r = bt.s_integral(IntegralRequest(1.0, 5.0, EvalConfig(abs_tol=1e-8)))
-    assert r.path == "quadrature"
+    assert r.path == "closed_form"
+    assert abs(r.value - mp_s_integral(1.0, 5.0)) <= r.abs_err_estimate <= 1e-8

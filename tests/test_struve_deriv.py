@@ -7,12 +7,18 @@ import pytest
 
 import besstruve as bt
 from besstruve import oracle
-from besstruve.evaluation import DomainError, EvalConfig
-from besstruve.exact import gamma_half_rational
+from besstruve.evaluation import (
+    SMALL_Z_THRESHOLD,
+    DomainError,
+    EvalConfig,
+    closed_form,
+    taylor_branch,
+)
+from besstruve.exact import gamma_half_rational, h1z_series_coeff
 from besstruve.laurent import LaurentPoly
 from besstruve.struve_deriv import (
-    _closed_eval_h,
-    _taylor_eval_h,
+    _closed_form_terms,
+    _h_pi_sum_exact,
     s_sum_poly_ascending,
 )
 
@@ -236,9 +242,10 @@ def test_deriv_h1z_vs_quadrature_grid():
 
 
 def test_deriv_h1z_path_boundary():
+    z = SMALL_Z_THRESHOLD
     for k in range(0, 11):
-        tv, _, _ = _taylor_eval_h(k, CFG.small_z_threshold, CFG)
-        cv, _, _, _ = _closed_eval_h(k, CFG.small_z_threshold)
+        tv = taylor_branch(k, z, h1z_series_coeff, 1, math.pi).value
+        cv = closed_form(k, z, CFG, *_closed_form_terms(k), _h_pi_sum_exact, math.pi).value
         assert abs(tv - cv) <= 1e-9, k
 
 
