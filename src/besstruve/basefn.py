@@ -3,12 +3,14 @@
 All six functions are evaluated from their ascending power series summed in
 exact rational arithmetic (the input float is converted to an exact
 Fraction), with a rigorous truncation bound, and rounded to float once at
-the end.  This costs a little speed but is immune to the cancellation that
-a float-summed series suffers beyond |z| of about 12, and it avoids the
-large-argument asymptotic expansions, whose optimal-truncation error
-(about exp(-2|z|)) is far too large near the crossover the series would
-need.  The supported domain |z| <= 50 stays well within exact-arithmetic
-reach.
+the end.  The sums run on integers over one running denominator and are
+normalized once, which gives the same rational as term-by-term Fraction
+arithmetic without a gcd per operation.  This costs a little speed but is
+immune to the cancellation that a float-summed series suffers beyond |z|
+of about 12, and it avoids the large-argument asymptotic expansions, whose
+optimal-truncation error (about exp(-2|z|)) is far too large near the
+crossover the series would need.  The supported domain |z| <= 50 stays
+well within exact-arithmetic reach.
 
 Struve functions of integer order are rational multiples of 1/pi term by
 term; the series is accumulated as the exact rational value of pi*H and
@@ -29,7 +31,6 @@ from .exact import gamma_half_rational
 MAX_ORDER = 64
 
 _EPS = sys.float_info.epsilon
-_HALF = Fraction(1, 2)
 
 # Truncation target 2**TINY_EXP for the exact series; callers that multiply
 # the result by large polynomial values pass a lower exponent.
@@ -55,48 +56,64 @@ def _check_z(z: float) -> None:
         raise DomainError(f"|z| <= {MAX_ABS_Z} required, got {z}")
 
 
-def _sum_series(t0: Fraction, ratio, tiny: Fraction, k_min: int) -> tuple[Fraction, Fraction]:
-    """Sum t0 + t1 + ... with t_{k+1} = t_k * ratio(k).
+def _sum_series_int(
+    p: int, q: int, num: int, den, tiny_exp: int, k_min: int
+) -> tuple[Fraction, Fraction]:
+    """Sum t0 + t1 + ... with t0 = p/q and t_{k+1} = t_k * num / den(k).
 
-    Stops once the next term is below ``tiny``, the index has passed
-    ``k_min`` (after which |ratio| must be nonincreasing), and |ratio| has
-    dropped to 1/2, so the discarded tail is at most twice the first
-    omitted term.  Returns (sum, tail_bound).
+    Everything stays in integers: the current term is p/q and the partial
+    sum n/q over the same denominator, so each step only multiplies, and
+    the result is normalized once.  Stops once the next term is below
+    2**tiny_exp, the index has passed ``k_min`` (after which |num/den(k)|
+    must be nonincreasing), and |num/den(k)| has dropped to 1/2, so the
+    discarded tail is at most twice the first omitted term.  den(k) may be
+    negative, so all three tests compare magnitudes.  Returns
+    (sum, tail_bound).
     """
-    total = t0
-    t = t0
+    shift = -tiny_exp
+    two_num = 2 * abs(num)
+    n = p
+    d = den(0)
     k = 0
     while True:
-        t = t * ratio(k)
+        p_next = p * num
+        q_next = q * d
         k += 1
-        if k >= k_min and abs(t) < tiny and abs(ratio(k)) <= _HALF:
-            return total, 2 * abs(t)
-        total += t
+        d_next = den(k)
+        if k >= k_min and abs(p_next) << shift < abs(q_next) and two_num <= abs(d_next):
+            return Fraction(n, q), Fraction(2 * abs(p_next), abs(q_next))
+        n = n * d + p_next
+        p, q, d = p_next, q_next, d_next
         if k > 5000:
             raise ConvergenceError("base function series did not converge")
 
 
 @lru_cache(maxsize=512)
 def _j_sum_exact(nu: int, zf: Fraction, tiny_exp: int) -> tuple[Fraction, Fraction]:
-    """Exact truncated series of J_nu (nu >= 0): returns (value, tail_bound)."""
+    """Exact truncated series of J_nu (nu >= 0): returns (value, tail_bound).
+
+    With z = a/b the terms are (a/2b)^nu / nu! times the ratios
+    -a^2 / (4 b^2 (k+1)(k+1+nu)).
+    """
     if zf == 0:
         one = Fraction(1)
         return (one, Fraction(0)) if nu == 0 else (Fraction(0), Fraction(0))
-    q = zf * zf / 4
-    t0 = (zf / 2) ** nu / math.factorial(nu)
-    tiny = Fraction(1, 2 ** (-tiny_exp))
-
-    def ratio(k: int) -> Fraction:
-        return -q / ((k + 1) * (k + 1 + nu))
-
-    return _sum_series(t0, ratio, tiny, 0)
+    a, b = zf.numerator, zf.denominator
+    bb4 = 4 * b * b
+    return _sum_series_int(
+        a**nu, (2 * b) ** nu * math.factorial(nu), -a * a,
+        lambda k: bb4 * (k + 1) * (k + 1 + nu), tiny_exp, 0,
+    )
 
 
 @lru_cache(maxsize=512)
 def _h_pi_sum_exact(nu: int, zf: Fraction, tiny_exp: int) -> tuple[Fraction, Fraction]:
     """Exact truncated series of pi * H_nu for integer nu: (value, tail_bound).
 
-    For nu <= -2 the series carries negative powers of z, so z = 0 is a pole.
+    With z = a/b the terms are (a/2b)^(nu+1) / (Gamma(3/2) Gamma(nu+3/2)/pi)
+    times the ratios -a^2 / (b^2 (2k+3)(2k+2nu+3)); the last factor and the
+    gamma value are negative for some negative orders.  For nu <= -2 the
+    series carries negative powers of z, so z = 0 is a pole.
     """
     if zf == 0:
         if nu >= 0:
@@ -105,17 +122,20 @@ def _h_pi_sum_exact(nu: int, zf: Fraction, tiny_exp: int) -> tuple[Fraction, Fra
             # constant term: pi / (Gamma(3/2) Gamma(1/2)) = 2
             return Fraction(2), Fraction(0)
         raise DomainError(f"H_{nu}(z) is singular at z = 0")
-    q = zf * zf / 4
-    t0 = (zf / 2) ** (nu + 1) / (gamma_half_rational(1) * gamma_half_rational(1 + nu))
-
-    def ratio(k: int) -> Fraction:
-        return -q / ((k + Fraction(3, 2)) * (k + nu + Fraction(3, 2)))
-
-    tiny = Fraction(1, 2 ** (-tiny_exp))
+    a, b = zf.numerator, zf.denominator
+    # 1/(Gamma(3/2) Gamma(nu+3/2)/pi) = 2 g.denominator / g.numerator
+    g = gamma_half_rational(1 + nu)
+    m = nu + 1
+    if m >= 0:
+        p, q = a**m * 2 * g.denominator, (2 * b) ** m * g.numerator
+    else:
+        p, q = (2 * b) ** -m * 2 * g.denominator, a**-m * g.numerator
+    bb = b * b
     # For negative orders the term ratio only shrinks monotonically once
     # k + nu + 3/2 > 0; do not trust the geometric tail bound before that.
-    k_min = max(0, -nu)
-    return _sum_series(t0, ratio, tiny, k_min)
+    return _sum_series_int(
+        p, q, -a * a, lambda k: bb * (2 * k + 3) * (2 * k + 2 * nu + 3), tiny_exp, max(0, -nu)
+    )
 
 
 def _wrap(value_frac: Fraction, tail: Fraction, over_pi: bool) -> BaseFnValue:

@@ -58,21 +58,26 @@ def _p_polys_from(k: int, r1_of, r0_of) -> BesselDerivForm:
 
 @lru_cache(maxsize=None)
 def p_polys(k: int) -> BesselDerivForm:
-    """Exact p1/p0 for derivative order 0 <= k <= 60 (recurrence route)."""
-    if not 0 <= k <= MAX_DERIV_ORDER:
-        raise DomainError(f"0 <= k <= {MAX_DERIV_ORDER} required, got {k}")
-    return _p_polys_from(k, lambda nu: c_poly(nu - 1, nu), lambda nu: c_poly(nu - 2, nu))
+    """Exact p1/p0 for derivative order 0 <= k <= 60.
 
-
-def p_polys_closed_form(k: int) -> BesselDerivForm:
-    """Same polynomials built from the closed-form gamma-ratio sums.
-
-    Kept as the cross-derivation route; must agree with :func:`p_polys`
-    exactly.
+    Built from the memoized closed-form gamma-ratio sums r1_poly/r0_poly,
+    which the Struve prefactors share, so the runtime never builds the
+    intermediate recurrence polynomials.
     """
     if not 0 <= k <= MAX_DERIV_ORDER:
         raise DomainError(f"0 <= k <= {MAX_DERIV_ORDER} required, got {k}")
     return _p_polys_from(k, r1_poly, _r0_or_zero)
+
+
+def p_polys_recurrence(k: int) -> BesselDerivForm:
+    """Same polynomials built from the three-term Lommel recurrence c_poly.
+
+    The independent cross-check of :func:`p_polys`: both routes must agree
+    exactly over the whole runtime range 0 <= k <= 60.
+    """
+    if not 0 <= k <= MAX_DERIV_ORDER:
+        raise DomainError(f"0 <= k <= {MAX_DERIV_ORDER} required, got {k}")
+    return _p_polys_from(k, lambda nu: c_poly(nu - 1, nu), lambda nu: c_poly(nu - 2, nu))
 
 
 def deriv_j1z_at_zero(k: int) -> float:

@@ -17,7 +17,8 @@ differentiated term by term; elsewhere the closed form is assembled in
 exact rational arithmetic and rounded once.  Its only error is the base
 series truncation, which is driven below 2^-69 of the result's scale, so
 when the rigorous bound still misses the tolerance no other route could
-meet it either and ConvergenceError is raised.
+meet it either and ConvergenceError is raised.  The Taylor branch raises it
+too when its estimate misses the tolerance.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ _EPS = sys.float_info.epsilon
 class EvalConfig:
     """The one evaluation setting.
 
-    abs_tol   target absolute tolerance of a returned value.  The closed
-              form raises ConvergenceError when its rigorous bound exceeds
-              it; the Taylor branch reports its estimate (about 5e-16 at
-              most) without comparing.
+    abs_tol   target absolute tolerance of a returned value.  Both the
+              closed form and the Taylor branch raise ConvergenceError when
+              their error estimate exceeds it (the Taylor estimate is about
+              5e-16 at most).
     """
 
     abs_tol: float = 1e-10
@@ -87,7 +88,7 @@ class EvalResult:
             raise ValueError("abs_err_estimate must be finite and nonnegative")
 
 
-def taylor_branch(k: int, z: float, coeff, offset: int, divisor: float) -> EvalResult:
+def taylor_branch(k: int, z: float, cfg: EvalConfig, coeff, offset: int, divisor: float) -> EvalResult:
     """d^k/dz^k of (1/divisor) sum_n coeff(n) z^(2n + offset), term by term."""
     n0 = (k - offset + 1) // 2  # first term that survives k differentiations
     total = 0.0
@@ -107,6 +108,10 @@ def taylor_branch(k: int, z: float, coeff, offset: int, divisor: float) -> EvalR
     else:
         raise ConvergenceError(f"Taylor branch needs more than {MAX_TAYLOR_TERMS} terms")
     err = (tail + 4 * _EPS * max(abs_total, abs(total))) / divisor
+    if err > cfg.abs_tol:
+        raise ConvergenceError(
+            f"Taylor branch estimate {err:.3e} exceeds abs_tol {cfg.abs_tol:.3e} (k={k}, z={z})"
+        )
     return EvalResult(total / divisor, err, terms, PATH_TAYLOR)
 
 
@@ -149,6 +154,6 @@ def eval_derivative(
     if not math.isfinite(z) or abs(z) > MAX_ABS_Z:
         raise DomainError(f"|z| <= {MAX_ABS_Z} required, got {z}")
     if abs(z) < SMALL_Z_THRESHOLD:
-        return taylor_branch(k, z, coeff, offset, divisor)
+        return taylor_branch(k, z, cfg, coeff, offset, divisor)
     pairs, free = forms(k)
     return closed_form(k, z, cfg, pairs, free, base, divisor)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .bessel_deriv import MAX_DERIV_ORDER, deriv_j1z
 from .evaluation import ConvergenceError, DomainError, EvalConfig, EvalResult, PATH_CLOSED_FORM
@@ -51,10 +52,12 @@ class IntegralRequest:
                 raise DomainError(f"|{name}| <= {MAX_ABS_ARG} required, got {v}")
 
 
+@lru_cache(maxsize=None)
 def truncation_bound(k: int) -> float:
     """Uniform bound on |d^k/dz^k| of either base kernel:
 
     Gamma((k+1)/2) / (2 sqrt(pi) Gamma(k/2 + 2)), exact then rounded.
+    Memoized: it depends on k alone, which is at most MAX_BOUND_ORDER.
     """
     if not 0 <= k <= MAX_BOUND_ORDER:
         raise DomainError(f"0 <= k <= {MAX_BOUND_ORDER} required, got {k}")
@@ -116,8 +119,12 @@ def _series_eval(z: float, zeta: float, cfg: EvalConfig, kind: str) -> EvalResul
     for kap in range(kap_max + 1):
         w = weights[kap]
         if w != 0.0:
-            inner_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, 1e-11) / max(1.0, abs(w)))
-            r = deriv(order_of(kap), z, inner_cfg)
+            inner_tol = min(cfg.abs_tol, 1e-11) / max(1.0, abs(w))
+            if inner_tol == 0.0:
+                raise ConvergenceError(
+                    f"abs_tol {cfg.abs_tol:.3e} underflows to 0 for the term weight {w:.3e}"
+                )
+            r = deriv(order_of(kap), z, replace(cfg, abs_tol=inner_tol))
             total += w * r.value
             err += abs(w) * r.abs_err_estimate
             path = r.path  # z is fixed, so every term takes the same path

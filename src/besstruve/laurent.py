@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact import Rational
@@ -110,34 +111,42 @@ class LaurentPoly:
         """Multiply by z**dexp."""
         return LaurentPoly(tuple((e + dexp, c) for e, c in self.terms), self.pi_power)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(L, ((e, n_e), ...)) with c_e = n_e / L over one common denominator."""
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        return den, tuple((e, c.numerator * (den // c.denominator)) for e, c in self.terms)
+
     def eval_rational(self, z: Fraction) -> Fraction:
-        """Exact value of the rational part sum(c_e z^e); excludes pi_power."""
-        pos = Fraction(0)
-        neg = Fraction(0)
-        # Horner in z for the nonnegative exponents, in w = 1/z for the rest.
-        pos_terms = [(e, c) for e, c in self.terms if e >= 0]
-        neg_terms = [(e, c) for e, c in self.terms if e < 0]
-        if pos_terms:
-            prev = None
-            acc = Fraction(0)
-            for e, c in pos_terms:  # exponents descending
-                if prev is not None:
-                    acc *= z ** (prev - e)
-                acc += c
-                prev = e
-            pos = acc * z**prev
-        if neg_terms:
-            w = 1 / z
-            prev = None
-            acc = Fraction(0)
-            for e, c in neg_terms[::-1]:  # exponents ascending, 1/z powers descending
-                p = -e
-                if prev is not None:
-                    acc *= w ** (prev - p)
-                acc += c
-                prev = p
-            neg = acc * w**prev
-        return pos + neg
+        """Exact value of the rational part sum(c_e z^e); excludes pi_power.
+
+        With z = a/b this is sum(n_e a^(e-emin) b^(emax-e)) a^emin / (L b^emax),
+        one Horner pass over integers for positive and negative exponents
+        alike, normalized once.
+        """
+        if not self.terms:
+            return Fraction(0)
+        den, terms = self._integer_form
+        a, b = z.numerator, z.denominator
+        emax = prev = terms[0][0]
+        acc = 0
+        bpow = 1  # b^(emax - e)
+        for e, n in terms:  # exponents descending
+            step = prev - e
+            acc *= a**step
+            bpow *= b**step
+            acc += n * bpow
+            prev = e
+        # prev is now emin
+        if prev >= 0:
+            acc *= a**prev
+        else:
+            den *= a**-prev
+        if emax >= 0:
+            den *= b**emax
+        else:
+            acc *= b**-emax
+        return Fraction(acc, den)
 
     def eval_float(self, z: float) -> float:
         """Floating value including the pi**pi_power factor."""

@@ -9,10 +9,12 @@ produces the polynomials that reduce J_nu(z) to a combination of J1 and J0:
 
     J_nu(z) = r1(nu, z) J1(z) - r0(nu, z) J0(z)
 
-with r1(nu) = c(nu-1) and r0(nu) = c(nu-2).  The recurrence is the ground
-truth here; closed-form gamma-ratio sums for both families and the reduced
-terminating-hypergeometric polynomial are generated independently and are
-verified against it symbolically in the test suite.
+with r1(nu) = c(nu-1) and r0(nu) = c(nu-2).  The closed-form gamma-ratio
+sums ``r1_poly``/``r0_poly`` are what the runtime builds its prefactors
+from; the recurrence ``c_poly`` is the independent cross-check, and the
+test suite verifies both families against it exactly for every order the
+runtime uses (nu <= 61), and the reduced terminating-hypergeometric
+polynomial likewise.
 
 c(-1) := 0 is forced by the reduction at nu = 1 (J1 = c(0) J1 - c(-1) J0).
 """

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basefn, oracle
-from .bessel_deriv import deriv_j1z, deriv_j1z_at_zero, p_polys, p_polys_closed_form
+from .bessel_deriv import deriv_j1z, deriv_j1z_at_zero, p_polys, p_polys_recurrence
 from .evaluation import EvalConfig
 from .integrals import IntegralRequest, c_integral, s_integral
 from .laurent import LaurentPoly
@@ -136,8 +136,8 @@ def suite_bessel(tol: float | None = None) -> list[CheckResult]:
         CheckResult("bessel", "recurrence", worst <= 1e-10, f"three-term, worst rel {worst:.2e}")
     )
     ok = all(
-        p_polys(k).p1 == p_polys_closed_form(k).p1
-        and p_polys(k).p0 == p_polys_closed_form(k).p0
+        p_polys(k).p1 == p_polys_recurrence(k).p1
+        and p_polys(k).p0 == p_polys_recurrence(k).p0
         for k in range(25)
     )
     out.append(CheckResult("bessel", "prefactor_cross_derivation", ok, "orders 0..24 exact"))

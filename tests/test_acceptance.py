@@ -12,7 +12,7 @@ import pytest
 
 import besstruve as bt
 from besstruve import IntegralRequest, oracle
-from besstruve.bessel_deriv import p_polys, p_polys_closed_form
+from besstruve.bessel_deriv import p_polys, p_polys_recurrence
 from besstruve.evaluation import EvalConfig
 from besstruve.laurent import LaurentPoly
 from besstruve.oracle import QuadratureRule, composite_gl
@@ -82,7 +82,7 @@ def test_criterion_4_symbolic_cross_derivations():
         e = bt.sigma_polys_explicit(k)
         ok &= c.sigma0 == e.sigma0 and c.sigma1 == e.sigma1 and c.sigma2 == e.sigma2
     for k in range(0, 25):
-        a, b = p_polys(k), p_polys_closed_form(k)
+        a, b = p_polys(k), p_polys_recurrence(k)
         ok &= a.p1 == b.p1 and a.p0 == b.p0
     for nu in range(2, 25):
         ok &= bt.s_sum_poly(nu) == s_sum_poly_ascending(nu)

@@ -13,7 +13,7 @@ from besstruve.bessel_deriv import (
     _closed_form_terms,
     _j_sum_exact,
     p_polys,
-    p_polys_closed_form,
+    p_polys_recurrence,
 )
 from besstruve.evaluation import (
     SMALL_Z_THRESHOLD,
@@ -51,9 +51,9 @@ def test_p_polys_pure_negative_exponents():
 
 
 def test_p_polys_cross_derivation_exact():
-    for k in range(0, 25):
+    for k in range(0, 61):
         a = p_polys(k)
-        b = p_polys_closed_form(k)
+        b = p_polys_recurrence(k)
         assert a.p1 == b.p1 and a.p0 == b.p0, k
 
 
@@ -107,7 +107,7 @@ def test_path_selection():
 def test_path_boundary_consistency():
     z = SMALL_Z_THRESHOLD
     for k in range(0, 11):
-        tv = taylor_branch(k, z, j1z_series_coeff, 0, 1.0).value
+        tv = taylor_branch(k, z, CFG, j1z_series_coeff, 0, 1.0).value
         cv = closed_form(k, z, CFG, *_closed_form_terms(k), _j_sum_exact, 1.0).value
         assert abs(tv - cv) <= 1e-9, k
 

@@ -14,7 +14,13 @@ from besstruve.evaluation import ConvergenceError, DomainError, EvalConfig
 EDGE_Z = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 50.0, -50.0, 50.5, math.inf, math.nan]
 
 args = st.one_of(st.sampled_from(EDGE_Z), st.floats(-50.0, 50.0))
-tols = st.one_of(st.sampled_from([1e-16, 1.0]), st.floats(1e-16, 1.0))
+# subnormal tolerances included: they must end in ConvergenceError, not leak
+# the ValueError of an underflowed per-term tolerance
+tols = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-16, 1.0]),
+    st.floats(1e-16, 1.0),
+    st.floats(0.0, 1e-300, exclude_min=True),
+)
 
 
 def _check(evaluate, *call_args, tol):
@@ -30,8 +36,8 @@ def _check(evaluate, *call_args, tol):
 
 def _check_deriv(evaluate, k, z, tol):
     r = _check(evaluate, k, z, tol=tol)
-    # the closed form raises rather than return a bound above the tolerance
-    if r is not None and r.path == "closed_form":
+    # either path raises rather than return a bound above the tolerance
+    if r is not None:
         assert r.abs_err_estimate <= tol
 
 
@@ -71,3 +77,19 @@ def test_closed_form_bound_above_tol_raises():
     assert bt.deriv_j1z(0, 0.5, EvalConfig(abs_tol=3e-16)).path == "closed_form"
     with pytest.raises(ConvergenceError):
         bt.deriv_j1z(0, 0.5, EvalConfig(abs_tol=1e-16))
+
+
+def test_taylor_estimate_above_tol_raises():
+    # the Taylor branch estimate at (k=0, z=0.4999) is 4.7e-16
+    r = bt.deriv_j1z(0, 0.4999, EvalConfig(abs_tol=1e-15))
+    assert r.path == "taylor" and r.abs_err_estimate <= 1e-15
+    with pytest.raises(ConvergenceError):
+        bt.deriv_j1z(0, 0.4999, EvalConfig(abs_tol=1e-16))
+
+
+def test_subnormal_tolerance_raises_convergence_error():
+    # the per-term tolerance abs_tol / |weight| underflows to 0 here
+    with pytest.raises(ConvergenceError):
+        bt.s_integral(bt.IntegralRequest(1, 5, EvalConfig(abs_tol=5e-324)))
+    with pytest.raises(ConvergenceError):
+        bt.c_integral(bt.IntegralRequest(1, 5, EvalConfig(abs_tol=5e-324)))

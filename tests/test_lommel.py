@@ -33,7 +33,7 @@ def test_r1_examples():
 
 
 def test_closed_forms_equal_recurrence_wide():
-    for nu in range(2, 41):
+    for nu in range(2, 62):
         assert bt.r0_poly(nu) == c_poly(nu - 2, nu)
         assert bt.r1_poly(nu) == c_poly(nu - 1, nu)
 

@@ -244,7 +244,7 @@ def test_deriv_h1z_vs_quadrature_grid():
 def test_deriv_h1z_path_boundary():
     z = SMALL_Z_THRESHOLD
     for k in range(0, 11):
-        tv = taylor_branch(k, z, h1z_series_coeff, 1, math.pi).value
+        tv = taylor_branch(k, z, CFG, h1z_series_coeff, 1, math.pi).value
         cv = closed_form(k, z, CFG, *_closed_form_terms(k), _h_pi_sum_exact, math.pi).value
         assert abs(tv - cv) <= 1e-9, k
 
