@@ -6,11 +6,12 @@ The package evaluates
     C(z, zeta) = int_0^{pi/2} cos(t) sin^2(t) cos(z cos t) cos(zeta cos^2 t) dt
 
 as rapidly converging series over high derivatives of J1(z)/z and H1(z)/z.
-Those derivatives reduce to J0/J1 (or H0/H1 plus a polynomial correction)
-multiplied by Lommel-type prefactor polynomials that are generated in exact
-rational arithmetic.  Independent brute-force oracles (adaptive
-Gauss-Legendre quadrature and term-wise differentiated Taylor series) back
-every closed form.
+Each derivative is an exact rational combination of J1/J0 (or H1/H0 and a
+constant) whose coefficients come from an integer recurrence of the kernel
+ODE; they equal the paper's Lommel-type prefactor polynomials, which are
+kept as exact closed forms, checked against the recurrence and dumped by
+``poly``.  Independent brute-force oracles (adaptive Gauss-Legendre
+quadrature and term-wise differentiated Taylor series) back every result.
 """
 
 from .basefn import (

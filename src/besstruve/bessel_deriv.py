@@ -1,6 +1,6 @@
 """Higher derivatives of J1(z)/z.
 
-The k-th derivative reduces to
+The paper writes the k-th derivative as
 
     d^k/dz^k [J1(z)/z] = (-1)^k [ p1(k, z) J1(z) - p0(k, z) J0(z) ]
 
@@ -10,12 +10,12 @@ reduction polynomials:
     p{1,0}(k, z) = 2 k! sum_{i=0}^{floor(k/2)} (-1)^i / (i! (k-2i)!)
                    * r{1,0}(k+1-i, z) / (2z)^(i+1)
 
-Evaluation takes a term-wise Taylor branch below |z| = 0.5 (the 1/z
-polynomials are singular at the origin) and the closed form in exact
-rational arithmetic elsewhere, rounded once.  Exact arithmetic loses
-nothing to the cancellation between the two products, so the only error is
-the base series truncation; when its rigorous bound misses the tolerance,
-ConvergenceError is raised.
+``p_polys`` builds these closed forms exactly; ``poly`` dumps them and the
+tests and ``verify`` check them against the runtime.  ``deriv_j1z`` does not
+build them: it takes a term-wise Taylor branch below |z| = 0.5 and
+elsewhere the integer recurrence of the kernel ODE z f'' + 3 f' + z f = 0,
+whose coefficients at z equal (-1)^k p1(k, z) and -(-1)^k p0(k, z) exactly
+(see :mod:`besstruve.evaluation`).
 """
 
 from __future__ import annotations
@@ -97,16 +97,7 @@ def deriv_j1z_at_zero(k: int) -> float:
     return float(-v if m % 2 else v)
 
 
-@lru_cache(maxsize=None)
-def _closed_form_terms(k: int) -> tuple[tuple, LaurentPoly]:
-    """(poly, base order) pairs and free polynomial of the closed form."""
-    form = p_polys(k)
-    return ((form.p1, 1), (-form.p0, 0)), LaurentPoly.zero()
-
-
 def deriv_j1z(k: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """d^k/dz^k of J1(z)/z: Taylor branch near the origin, exact closed form
-    elsewhere (see :mod:`besstruve.evaluation`)."""
-    return eval_derivative(
-        k, z, cfg, MAX_DERIV_ORDER, j1z_series_coeff, 0, _closed_form_terms, _j_sum_exact, 1.0
-    )
+    """d^k/dz^k of J1(z)/z: Taylor branch near the origin, the exact ODE
+    recurrence elsewhere (see :mod:`besstruve.evaluation`)."""
+    return eval_derivative(k, z, cfg, MAX_DERIV_ORDER, j1z_series_coeff, 0, _j_sum_exact, 1.0, 0)

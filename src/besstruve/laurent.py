@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact import Rational
@@ -111,42 +110,9 @@ class LaurentPoly:
         """Multiply by z**dexp."""
         return LaurentPoly(tuple((e + dexp, c) for e, c in self.terms), self.pi_power)
 
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(L, ((e, n_e), ...)) with c_e = n_e / L over one common denominator."""
-        den = math.lcm(*(c.denominator for _, c in self.terms))
-        return den, tuple((e, c.numerator * (den // c.denominator)) for e, c in self.terms)
-
     def eval_rational(self, z: Fraction) -> Fraction:
-        """Exact value of the rational part sum(c_e z^e); excludes pi_power.
-
-        With z = a/b this is sum(n_e a^(e-emin) b^(emax-e)) a^emin / (L b^emax),
-        one Horner pass over integers for positive and negative exponents
-        alike, normalized once.
-        """
-        if not self.terms:
-            return Fraction(0)
-        den, terms = self._integer_form
-        a, b = z.numerator, z.denominator
-        emax = prev = terms[0][0]
-        acc = 0
-        bpow = 1  # b^(emax - e)
-        for e, n in terms:  # exponents descending
-            step = prev - e
-            acc *= a**step
-            bpow *= b**step
-            acc += n * bpow
-            prev = e
-        # prev is now emin
-        if prev >= 0:
-            acc *= a**prev
-        else:
-            den *= a**-prev
-        if emax >= 0:
-            den *= b**emax
-        else:
-            acc *= b**-emax
-        return Fraction(acc, den)
+        """Exact value of the rational part sum(c_e z^e); excludes pi_power."""
+        return sum((c * z**e for e, c in self.terms), Fraction(0))
 
     def eval_float(self, z: float) -> float:
         """Floating value including the pi**pi_power factor."""

@@ -14,10 +14,16 @@ exact rational arithmetic, yields
                               + sigma2(k,z) (2/z)^(k-1)
 
 with sigma0/sigma1 plain even polynomials in z and sigma2 an even
-polynomial over pi.  ``sigma_polys_composed`` is the ground truth for all
-orders; ``sigma_polys_explicit`` implements the standalone summation
+polynomial over pi.  ``sigma_polys_composed`` builds these closed forms for
+all orders; ``sigma_polys_explicit`` implements the standalone summation
 formulas for the sigmas, which are unambiguous only at odd k, and is kept
-as a cross-check.
+as a cross-check.  ``poly`` dumps them and the tests and ``verify`` check
+them against the runtime.
+
+``deriv_h1z`` does not build them: it takes a term-wise Taylor branch below
+|z| = 0.5 and elsewhere the integer recurrence of the kernel ODE
+z h'' + 3 h' + z h = 2/pi, whose coefficients of pi H1, pi H0 and 1 at z
+equal the three sigma terms above exactly (see :mod:`besstruve.evaluation`).
 """
 
 from __future__ import annotations
@@ -421,17 +427,6 @@ def sigma_polys_composed(k: int) -> StruveDerivForm:
 # -- evaluation ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _closed_form_terms(k: int) -> tuple[tuple, LaurentPoly]:
-    """(poly, base order) pairs and free polynomial of the closed form,
-    with the (2/z) powers multiplied in."""
-    form = sigma_polys_composed(k)
-    s0 = form.sigma0.scale(Fraction(2) ** k).shift(-k)
-    s1 = form.sigma1.scale(Fraction(2) ** (k + 1)).shift(-(k + 1))
-    s2 = form.sigma2.scale(Fraction(2) ** (k - 1)).shift(-(k - 1))
-    return ((s0, 0), (s1, 1)), s2
-
-
 def deriv_h1z_at_zero(k: int) -> float:
     """Value of d^k/dz^k [H1(z)/z] at z = 0.
 
@@ -448,8 +443,9 @@ def deriv_h1z_at_zero(k: int) -> float:
 
 
 def deriv_h1z(k: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """d^k/dz^k of H1(z)/z: Taylor branch near the origin, exact closed form
-    elsewhere (see :mod:`besstruve.evaluation`)."""
+    """d^k/dz^k of H1(z)/z: Taylor branch near the origin, the exact ODE
+    recurrence elsewhere (see :mod:`besstruve.evaluation`).  The base series
+    is pi H_nu and the ODE source 2/pi becomes 2 in that scaling."""
     return eval_derivative(
-        k, z, cfg, MAX_SIGMA_ORDER, h1z_series_coeff, 1, _closed_form_terms, _h_pi_sum_exact, math.pi
+        k, z, cfg, MAX_SIGMA_ORDER, h1z_series_coeff, 1, _h_pi_sum_exact, math.pi, 2
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import basefn, oracle
 from .bessel_deriv import deriv_j1z, deriv_j1z_at_zero, p_polys, p_polys_recurrence
-from .evaluation import EvalConfig
+from .evaluation import EvalConfig, ode_coefficients
 from .integrals import IntegralRequest, c_integral, s_integral
 from .laurent import LaurentPoly
 from .lommel import bessel_reduce, c_poly, hyp2f3_direct, r0_poly, r1_poly, reduced_2f3_poly
@@ -64,6 +64,30 @@ _TABLE_R0 = {
     8: {-6: 322560, -4: -28800, -2: 480, 0: -1},
 }
 _TABLE_R0_NU1_PUBLISHED = {1: 1}  # the flagged row: R at order 1 printed as z
+
+
+_ODE_ZS = (0.5, 3.7, -12.25, 49.5, 7.123456789012345)  # includes a full-mantissa float
+
+
+def _ode_matches_prefactors(kind: str, max_k: int) -> bool:
+    """The runtime's ODE recurrence coefficients equal the paper's prefactor
+    polynomials (p1/p0, or the three sigma terms) exactly at _ODE_ZS."""
+    for z in _ODE_ZS:
+        zf = Fraction(z)
+        a, b, w = zf.numerator, zf.denominator, 2 / zf
+        for k in range(max_k + 1):
+            sign = (-1) ** k
+            if kind == "bessel":
+                p, source = p_polys(k), 0
+                want = (sign * p.p1.eval_rational(zf), -sign * p.p0.eval_rational(zf), 0)
+            else:
+                s, source = sigma_polys_composed(k), 2
+                terms = ((s.sigma1, k + 1), (s.sigma0, k), (s.sigma2, k - 1))
+                want = tuple(sign * poly.eval_rational(zf) * w**e for poly, e in terms)
+            scale = Fraction(b, a ** (k + 1))
+            if tuple(v * scale for v in ode_coefficients(k, a, b, source)) != want:
+                return False
+    return True
 
 
 def suite_lommel(tol: float | None = None) -> list[CheckResult]:
@@ -141,6 +165,8 @@ def suite_bessel(tol: float | None = None) -> list[CheckResult]:
         for k in range(25)
     )
     out.append(CheckResult("bessel", "prefactor_cross_derivation", ok, "orders 0..24 exact"))
+    ok = _ode_matches_prefactors("bessel", 60)
+    out.append(CheckResult("bessel", "kernel_ode_matches_prefactors", ok, "k 0..60 at 5 z, exact"))
     worst = 0.0
     for nu in range(2, 11):
         for z in (0.5, 1.0, 2.0, 5.0, 8.0):
@@ -200,6 +226,8 @@ def suite_struve(tol: float | None = None) -> list[CheckResult]:
             "sigma0/sigma1 recombine to the J-side prefactors, k 0..20 exact",
         )
     )
+    ok = _ode_matches_prefactors("struve", 41)
+    out.append(CheckResult("struve", "kernel_ode_matches_prefactors", ok, "k 0..41 at 5 z, exact"))
     worst = 0.0
     for nu in range(0, 9):
         for z in (0.5, 2.0, 5.0):

@@ -9,12 +9,7 @@ import pytest
 
 import besstruve as bt
 from besstruve import oracle
-from besstruve.bessel_deriv import (
-    _closed_form_terms,
-    _j_sum_exact,
-    p_polys,
-    p_polys_recurrence,
-)
+from besstruve.bessel_deriv import _j_sum_exact, p_polys, p_polys_recurrence
 from besstruve.evaluation import (
     SMALL_Z_THRESHOLD,
     DomainError,
@@ -104,11 +99,25 @@ def test_path_selection():
     assert abs(r.value - mp_deriv_j1z(8, 2.0)) <= r.abs_err_estimate <= 1e-8
 
 
+# Inputs whose last bits moved when the coefficients began to come from the
+# kernel ODE recurrence (the truncation target followed the tighter scale).
+MOVED = [(41, 6.5), (41, 16.25), (43, 9.75), (45, 3.5), (56, 1.75), (56, 14.5)]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-15])
+def test_moved_values_within_rigorous_bound(tol):
+    for k, z in MOVED:
+        for zs in (z, -z):
+            r = bt.deriv_j1z(k, zs, EvalConfig(abs_tol=tol))
+            assert r.path == "closed_form"
+            assert abs(r.value - mp_deriv_j1z(k, zs)) <= r.abs_err_estimate <= tol, (k, zs)
+
+
 def test_path_boundary_consistency():
     z = SMALL_Z_THRESHOLD
     for k in range(0, 11):
         tv = taylor_branch(k, z, CFG, j1z_series_coeff, 0, 1.0).value
-        cv = closed_form(k, z, CFG, *_closed_form_terms(k), _j_sum_exact, 1.0).value
+        cv = closed_form(k, z, CFG, _j_sum_exact, 1.0, 0).value
         assert abs(tv - cv) <= 1e-9, k
 
 

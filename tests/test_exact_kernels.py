@@ -1,6 +1,7 @@
-"""The integer kernels return exactly the rationals of plain Fraction
-arithmetic: the base series against the term-by-term Fraction loop, and
-polynomial evaluation against sum(c * z**e).  Equality is ``==``."""
+"""The exact kernels return exactly the rationals of the paper's formulas:
+the integer base series against the term-by-term Fraction loop, polynomial
+evaluation against sum(c * z**e), and the kernel ODE recurrence of the
+derivative evaluator against the prefactor polynomials.  Equality is ``==``."""
 
 import math
 import random
@@ -9,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from besstruve import basefn
-from besstruve.bessel_deriv import _closed_form_terms as bessel_terms
-from besstruve.evaluation import ConvergenceError, DomainError
+from besstruve.bessel_deriv import MAX_DERIV_ORDER, p_polys
+from besstruve.evaluation import ConvergenceError, DomainError, ode_coefficients
 from besstruve.exact import gamma_half_rational
 from besstruve.laurent import LaurentPoly
-from besstruve.struve_deriv import _closed_form_terms as struve_terms
+from besstruve.struve_deriv import MAX_SIGMA_ORDER, sigma_polys_composed
 
 _HALF = Fraction(1, 2)
 
@@ -121,15 +122,32 @@ def test_eval_rational_equals_termwise():
             assert poly.eval_rational(zf) == _termwise(poly, zf), (poly, zf)
 
 
-def test_eval_rational_runtime_polys_equal_termwise():
-    zfs = [Fraction(z) for z in (0.5, -0.5, 3.7, -12.25, 50.0)]
-    polys = []
-    for k in (0, 1, 7, 30, 60):
-        pairs, free = bessel_terms(k)
-        polys += [p for p, _ in pairs] + [free]
-    for k in (0, 1, 4, 21, 41):
-        pairs, free = struve_terms(k)
-        polys += [p for p, _ in pairs] + [free]
-    for poly in polys:
-        for zf in zfs:
-            assert poly.eval_rational(zf) == _termwise(poly, zf)
+# -- the kernel ODE recurrence against the paper's prefactor polynomials ------
+
+ODE_ZS = [0.5, -0.5, 1.0, 2.5, 3.7, 12.25, 49.5, -49.5, 50.0]
+ODE_ZS += [_rng.uniform(-50.0, 50.0) for _ in range(5)]  # full-mantissa floats
+
+
+def _check_ode_tie(zf):
+    a, b = zf.numerator, zf.denominator
+    w = 2 / zf
+    for k in range(MAX_DERIV_ORDER + 1):
+        v1, v0, v2 = ode_coefficients(k, a, b, 0)
+        scale, sign, form = Fraction(b, a ** (k + 1)), (-1) ** k, p_polys(k)
+        assert v1 * scale == sign * form.p1.eval_rational(zf), k
+        assert v0 * scale == -sign * form.p0.eval_rational(zf), k
+        assert v2 == 0, k
+    for k in range(MAX_SIGMA_ORDER + 1):
+        v1, v0, v2 = ode_coefficients(k, a, b, 2)
+        scale, sign, form = Fraction(b, a ** (k + 1)), (-1) ** k, sigma_polys_composed(k)
+        assert v1 * scale == sign * form.sigma1.eval_rational(zf) * w ** (k + 1), k
+        assert v0 * scale == sign * form.sigma0.eval_rational(zf) * w**k, k
+        assert v2 * scale == sign * form.sigma2.eval_rational(zf) * w ** (k - 1), k
+
+
+def test_ode_recurrence_equals_prefactor_polys():
+    """b V_i / a^(k+1) is the coefficient of B_i in d^k/dz^k of the kernel:
+    (-1)^k p1 and -(-1)^k p0 for J1(z)/z; the sigma1, sigma0 and sigma2
+    terms for pi H1(z)/z."""
+    for z in ODE_ZS:
+        _check_ode_tie(Fraction(z))
